@@ -40,7 +40,6 @@ pub const USAGE: &str = "amf-qos serve [--listen HOST:PORT | --metrics-addr HOST
 pub fn run(args: &Args) -> Result<String, CliError> {
     let samples: u64 = args.parse_or("samples", 20_000)?;
     let seed: u64 = args.parse_or("seed", 42)?;
-    let shards: usize = args.parse_or("shards", 4)?;
     let run_ms: u64 = args.parse_or("run-ms", 0)?;
     let interval_ms: u64 = args.parse_or("interval-ms", 200)?;
     let max_log_bytes: u64 = args.parse_or("max-log-bytes", 4 * 1024 * 1024)?;
@@ -58,9 +57,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .get("listen")
         .or_else(|| args.get("metrics-addr"))
         .unwrap_or("127.0.0.1:0");
-    if shards == 0 {
-        return Err(CliError("--shards must be at least 1".into()));
-    }
+    let config = service_config(args)?;
     if workers == 0 {
         return Err(CliError("--workers must be at least 1".into()));
     }
@@ -73,10 +70,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ));
     }
 
-    let config = ServiceConfig {
-        shards,
-        ..ServiceConfig::default()
-    };
     let service = Arc::new(
         QosPredictionService::try_new(config).map_err(|e| CliError(format!("service: {e}")))?,
     );
@@ -191,6 +184,21 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         stats.updates,
         accuracy.map_or_else(|| "n/a".to_string(), |v| format!("{v:.4}")),
     ))
+}
+
+/// The service `serve` runs. `--shards` defaults to 1: each observe batch
+/// is applied in place on the service's one model, a few microseconds per
+/// record. `--shards K>1` builds a K-worker parity engine for every batch,
+/// which only pays off for large offline batches.
+fn service_config(args: &Args) -> Result<ServiceConfig, CliError> {
+    let shards: usize = args.parse_or("shards", 1)?;
+    if shards == 0 {
+        return Err(CliError("--shards must be at least 1".into()));
+    }
+    Ok(ServiceConfig {
+        shards,
+        ..ServiceConfig::default()
+    })
 }
 
 /// Streams the workload into the service: `--data` replays a triplet file,
@@ -391,6 +399,15 @@ mod tests {
         assert!(out.contains("requests"));
         assert!(out.contains("0 panics"), "{out}");
         std::fs::remove_file(addr_file).unwrap();
+    }
+
+    #[test]
+    fn shards_default_to_in_place_parity_ingest() {
+        let config = service_config(&args(&["serve"])).unwrap();
+        assert_eq!(config.shards, 1);
+        assert_eq!(config.consistency, amf_core::Consistency::Parity);
+        let config = service_config(&args(&["serve", "--shards", "4"])).unwrap();
+        assert_eq!(config.shards, 4);
     }
 
     #[test]

@@ -126,8 +126,9 @@ pub struct ReqTiming {
     /// Connection accept → first byte of this request (non-zero only for a
     /// connection's first request; later requests ride an open socket).
     pub accept_ns: u64,
-    /// First buffered byte of this request → parse completion (spans a
-    /// slow-trickled arrival).
+    /// Time spent inside the HTTP parser on this request, summed over
+    /// every attempt while its bytes arrived (the waits between reads are
+    /// not included).
     pub parse_ns: u64,
 }
 
@@ -194,9 +195,13 @@ pub struct ConnState {
     /// (slowloris guard: the plane 408s it past the io timeout).
     pub partial_since: Option<Instant>,
     eof_seen: bool,
-    /// When the first byte of the request currently at the front of
-    /// `read_buf` arrived (drives the parse-stage timing).
+    /// When bytes last arrived into an empty `read_buf`; read only for the
+    /// connection's first request, whose accept stage ends there.
     read_started: Option<Instant>,
+    /// Parser time already spent on the request at the front of
+    /// `read_buf` by attempts that found it incomplete (charged to its
+    /// parse stage).
+    parse_spent_ns: u64,
 }
 
 impl ConnState {
@@ -220,6 +225,7 @@ impl ConnState {
             partial_since: None,
             eof_seen: false,
             read_started: None,
+            parse_spent_ns: 0,
         }
     }
 
@@ -384,26 +390,24 @@ impl ConnState {
             if self.outstanding() >= max_inflight || budget_left == 0 {
                 return ParseHalt::Quota;
             }
-            match http::parse_request(&self.read_buf, max_body_bytes) {
+            // The parse stage is the parser's own run time, so a request
+            // trickling in over several reads is not charged its arrival
+            // gaps, only each parse attempt.
+            let parse_started = Instant::now();
+            let parsed = http::parse_request(&self.read_buf, max_body_bytes);
+            self.parse_spent_ns += duration_ns(parse_started, Instant::now());
+            match parsed {
                 Ok(Parsed::Complete { request, consumed }) => {
-                    let started = self.read_started.unwrap_or(now);
                     let timing = ReqTiming {
                         accept_ns: if self.next_seq == 0 {
-                            duration_ns(self.opened, started)
+                            duration_ns(self.opened, self.read_started.unwrap_or(now))
                         } else {
                             0
                         },
-                        parse_ns: duration_ns(started, now),
+                        parse_ns: std::mem::take(&mut self.parse_spent_ns),
                     };
                     self.read_buf.drain(..consumed);
                     self.partial_since = None;
-                    // A pipelined successor already buffered starts its
-                    // parse clock now; otherwise wait for the next byte.
-                    self.read_started = if self.read_buf.is_empty() {
-                        None
-                    } else {
-                        Some(now)
-                    };
                     let seq = self.alloc_seq();
                     budget_left -= 1;
                     events.push(ReadEvent::Request(Box::new(request), seq, timing));
@@ -777,5 +781,48 @@ mod tests {
         conn.flush_ready(false, 1024);
         let (events, _) = conn.read_and_parse(1024, 2, 1024, Instant::now());
         assert_eq!(events.len(), 2, "buffered pipeline resumes");
+    }
+
+    fn parse_ns_of(events: &[ReadEvent]) -> Vec<u64> {
+        events
+            .iter()
+            .map(|e| match e {
+                ReadEvent::Request(_, _, timing) => timing.parse_ns,
+                ReadEvent::Error(e, _) => panic!("unexpected error {e:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parse_stage_times_the_parser_not_the_arrival() {
+        let (mut client, mut conn) = pair();
+        // Whole requests, one of them pipelined behind the other: both
+        // were parsed, so both carry parse time.
+        send(
+            &mut client,
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n",
+        );
+        let (events, _) = conn.read_and_parse(1024, 32, 1024, Instant::now());
+        let parsed = parse_ns_of(&events);
+        assert_eq!(parsed.len(), 2);
+        assert!(parsed.iter().all(|&ns| ns > 0), "{parsed:?}");
+
+        // A head split across two writes with a pause between them: the
+        // pause is arrival time, not parse time.
+        let pause = Duration::from_millis(60);
+        send(&mut client, b"GET /split HTTP/1.1\r\nHo");
+        let (events, _) = conn.read_and_parse(1024, 32, 1024, Instant::now());
+        assert!(events.is_empty(), "head is still incomplete");
+        std::thread::sleep(pause);
+        send(&mut client, b"st: x\r\n\r\n");
+        let (events, _) = conn.read_and_parse(1024, 32, 1024, Instant::now());
+        let parsed = parse_ns_of(&events);
+        assert_eq!(parsed.len(), 1);
+        assert!(parsed[0] > 0);
+        assert!(
+            u128::from(parsed[0]) < pause.as_nanos(),
+            "the pause between writes was charged to parse: {} ns",
+            parsed[0]
+        );
     }
 }

@@ -459,7 +459,7 @@ impl QosPredictionService {
                 self.config.shards,
                 self.config.consistency,
             );
-            match trainer.feed_batch_sharded_with(samples.clone(), options, plan) {
+            match trainer.feed_batch_sharded_with(samples.iter().copied(), options, plan) {
                 Ok((fed, faults)) => {
                     self.absorb_fault_stats(faults);
                     return fed;
@@ -986,13 +986,21 @@ mod tests {
 
     #[test]
     fn sharded_batch_ingestion_matches_sequential() {
-        let records: Vec<QosRecord> = (0..120u64)
+        // Quarantined values (NaN, negative) are spread through the batch,
+        // and users u6/u7 and service s8 are first named after its midpoint.
+        let records: Vec<QosRecord> = (0..160u64)
             .map(|k| {
+                let (users, services) = if k < 80 { (6, 8) } else { (8, 9) };
+                let value = match k % 11 {
+                    3 => f64::NAN,
+                    7 => -1.0,
+                    _ => 0.4 + (k % 5) as f64 * 0.7,
+                };
                 record(
-                    &format!("u{}", k % 6),
-                    &format!("s{}", k % 8),
+                    &format!("u{}", k % users),
+                    &format!("s{}", k % services),
                     k,
-                    0.4 + (k % 5) as f64 * 0.7,
+                    value,
                 )
             })
             .collect();
@@ -1000,15 +1008,28 @@ mod tests {
         for r in records.clone() {
             seq.submit(r);
         }
-        let sharded = QosPredictionService::new(ServiceConfig {
-            shards: 4,
-            ..Default::default()
-        });
-        assert_eq!(sharded.submit_batch(records), 120);
-        assert_eq!(seq.stats(), sharded.stats());
-        for u in 0..6 {
-            for s in 0..8 {
-                assert_eq!(seq.predict_ids(u, s), sharded.predict_ids(u, s));
+        let admitted = seq.stats().accepted;
+        assert!(seq.stats().rejected > 0, "the batch exercises quarantine");
+        for shards in [1, 4] {
+            let batched = QosPredictionService::new(ServiceConfig {
+                shards,
+                ..Default::default()
+            });
+            assert_eq!(
+                batched.submit_batch(records.clone()) as u64,
+                admitted,
+                "shards={shards}"
+            );
+            assert_eq!(seq.stats(), batched.stats(), "shards={shards}");
+            assert_eq!(seq.guard_stats(), batched.guard_stats(), "shards={shards}");
+            for u in 0..8 {
+                for s in 0..9 {
+                    assert_eq!(
+                        seq.predict_ids(u, s).map(f64::to_bits),
+                        batched.predict_ids(u, s).map(f64::to_bits),
+                        "shards={shards} ({u},{s})"
+                    );
+                }
             }
         }
     }

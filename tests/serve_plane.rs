@@ -299,6 +299,18 @@ fn overload_fast_rejects_from_the_acceptor() {
     let holder_body = slow_predict_body(100_000);
     let holder =
         std::thread::spawn(move || raw_exchange(addr, &post_raw("/v1/predict", &holder_body, "")));
+    // The holder's multi-megabyte body can take longer than the pause
+    // below to arrive; if it were admitted in the same poll pass as the
+    // probes it would sit in the queue slot and every probe would be
+    // rejected. Wait for its admission first.
+    let admitted_by = std::time::Instant::now() + Duration::from_secs(10);
+    while plane.stats().requests == 0 {
+        assert!(
+            std::time::Instant::now() < admitted_by,
+            "holder never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     std::thread::sleep(Duration::from_millis(150));
 
     // Four CONCURRENT probes: the first to reach the acceptor takes the
